@@ -104,6 +104,26 @@ fn captures_replay_bit_identical_across_schemes_threads_and_densities() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// A sparse CHC capture (K = 200 at 2% density, demand ×33, w = 4,
+/// ratio tracker on) committed under `tests/fixtures/`, recorded by an
+/// earlier build: the current solver stack must reproduce every frame
+/// and the certified ratio bit for bit.
+#[test]
+fn committed_capture_replays_bit_identical() {
+    let capture =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/chc-k200-sparse");
+    let (text, rep) = run(&["replay", capture.to_str().unwrap()]);
+    rep.unwrap_or_else(|e| panic!("committed capture diverged: {e}\n{text}"));
+    assert!(
+        text.contains("replay verified: 24 frames bit-identical (policy CHC(r=3), slots 0..=23)"),
+        "got:\n{text}"
+    );
+    assert!(
+        text.contains("empirical ratio    2.3688 over 3 blocks (replayed identically)"),
+        "got:\n{text}"
+    );
+}
+
 #[test]
 fn perturbed_capture_yields_structured_divergence_not_panic() {
     let dir = temp_dir("perturb");

@@ -18,6 +18,22 @@
 //!   (free at `t = 0` for initially cached items), holding it collects
 //!   `r_{k,t}`, leaving is free. The min-cost flow of value `C_n` is the
 //!   optimal integral caching plan.
+//!
+//!   The network covers only the *kept* items: those initially cached
+//!   plus those with a nonzero reward at some slot, in ascending `k`.
+//!   An item outside that set is never worth entering: it costs `β_n`,
+//!   earns nothing, and the pool arc beside it always has spare
+//!   capacity (flow stays below `C_n` while augmenting), so no shortest
+//!   path can strictly improve through it. Dropping it keeps the
+//!   relative order of the other nodes and arcs, so the index
+//!   tie-breaks, the plan and the objective bits are those of the
+//!   network over the whole catalog. A zero-reward item that is
+//!   initially cached ties with the pool arc and is always kept; for
+//!   `β_n` within the flow solver's tie tolerance every item is kept.
+//!   In the primal-dual loop the rewards and the kept set are read off
+//!   the multiplier support only
+//!   ([`crate::workspace::SbsSubproblem::fill_caching_inputs`]), so `P1`
+//!   scales with the demand support, not with `T·M·K`.
 //! * [`solve_caching_lp`] — the paper's literal formulation (eq. 21–22)
 //!   solved with the in-repo simplex; used to cross-check the flow
 //!   solution on small instances.
@@ -43,10 +59,27 @@ pub struct SbsCachingSolution {
     pub objective: f64,
 }
 
+/// `β_n` above which `P1` prunes unrewarded items.
+///
+/// A pruned item's detour is longer than the pool arc beside it by
+/// exactly `β_n`. The flow solver treats cost differences below its
+/// tie tolerance (`1e-12`) as ties and its potentials carry rounding of a
+/// few ulps, so a `β_n` inside that margin can tie the detour with the
+/// pool arc and change the low bits of the objective (it does at
+/// `β_n = 1e-13`; from `1e-11` up, pruned and full networks agree on
+/// every instance tried). At or below `1e-9` every item is kept.
+pub(crate) const PRUNE_MIN_BETA: f64 = 1e-9;
+
 /// Solves `P1` for one SBS via min-cost flow.
 ///
 /// `rewards[t][k]` is `r_{k,t} = Σ_m μ^t_{n,m,k} ≥ 0`;
 /// `initially_cached[k]` is the pre-horizon state `x^0`.
+///
+/// The flow network covers only the *kept* items: those initially
+/// cached, plus those with a nonzero reward at some slot (every item
+/// when `β ≤ 1e-9`). Any other item stays uncached, and
+/// the plan and objective are bit-identical to the network over the
+/// whole catalog (see the module docs).
 ///
 /// # Errors
 ///
@@ -77,6 +110,41 @@ pub fn solve_caching_mcmf(
             objective: 0.0,
         });
     }
+    if beta <= PRUNE_MIN_BETA {
+        return solve_caching_flow(capacity, beta, initially_cached, rewards);
+    }
+    let kept: Vec<usize> = (0..k_total)
+        .filter(|&k| initially_cached[k] || rewards.iter().any(|row| row[k] != 0.0))
+        .collect();
+    let kept_initially: Vec<bool> = kept.iter().map(|&k| initially_cached[k]).collect();
+    let kept_rewards: Vec<Vec<f64>> = rewards
+        .iter()
+        .map(|row| kept.iter().map(|&k| row[k]).collect())
+        .collect();
+    let sol = solve_caching_flow(capacity, beta, &kept_initially, &kept_rewards)?;
+    let mut x = vec![vec![false; k_total]; horizon];
+    for (row, kept_row) in x.iter_mut().zip(&sol.x) {
+        for (&k, &cached) in kept.iter().zip(kept_row) {
+            row[k] = cached;
+        }
+    }
+    Ok(SbsCachingSolution {
+        x,
+        objective: sol.objective,
+    })
+}
+
+/// Builds and solves the `P1` flow network over exactly the items
+/// (columns) given, in their order. Shapes must be validated and
+/// `capacity` positive; `x` comes back over the same columns.
+fn solve_caching_flow(
+    capacity: usize,
+    beta: f64,
+    initially_cached: &[bool],
+    rewards: &[Vec<f64>],
+) -> Result<SbsCachingSolution, CoreError> {
+    let horizon = rewards.len();
+    let k_total = initially_cached.len();
 
     // Node layout: 0 = source, 1 = sink, 2..2+T+1 = pools, then per (t,k)
     // an in/out pair.
@@ -113,12 +181,10 @@ pub fn solve_caching_mcmf(
     }
 
     let result = net.solve(0, 1, FlowGoal::Exact(cap))?;
-    let mut x = vec![vec![false; k_total]; horizon];
-    for t in 0..horizon {
-        for k in 0..k_total {
-            x[t][k] = net.flow(hold_edges[t][k]) > 0;
-        }
-    }
+    let x = hold_edges
+        .iter()
+        .map(|row| row.iter().map(|&hold| net.flow(hold) > 0).collect())
+        .collect();
     Ok(SbsCachingSolution {
         x,
         objective: result.cost,
@@ -234,12 +300,15 @@ pub fn solve_caching_all_with(
     mu: &Tensor4,
     parallelism: Parallelism,
 ) -> Result<(CachePlan, f64), CoreError> {
-    solve_caching_all_observed(problem, mu, parallelism, &SubSolveMetrics::disabled())
+    solve_caching_all_observed(problem, mu, None, parallelism, &SubSolveMetrics::disabled())
 }
 
-/// [`solve_caching_all_with`] recording per-SBS flow-solve spans into
-/// `metrics`. Span observation happens during the SBS-order assembly,
-/// so enabling it cannot perturb the plan.
+/// [`solve_caching_all_with`] reading `mu` only at `support` (ascending
+/// flat indices outside which every multiplier is zero; `None` reads
+/// all of it) and recording per-SBS flow-solve spans into `metrics`.
+/// The result is bit-identical for every support that covers the
+/// nonzero multipliers. Span observation happens during the SBS-order
+/// assembly, so enabling it cannot perturb the plan.
 ///
 /// # Errors
 ///
@@ -247,6 +316,7 @@ pub fn solve_caching_all_with(
 pub fn solve_caching_all_observed(
     problem: &ProblemInstance,
     mu: &Tensor4,
+    support: Option<&[usize]>,
     parallelism: Parallelism,
     metrics: &SubSolveMetrics,
 ) -> Result<(CachePlan, f64), CoreError> {
@@ -260,14 +330,7 @@ pub fn solve_caching_all_observed(
         |ws, i| {
             let started = timed.then(Instant::now);
             let sub = SbsSubproblem::new(problem, SbsId(i));
-            sub.fill_rewards(mu, ws);
-            sub.fill_initial_cache(ws);
-            let res = solve_caching_mcmf(
-                sub.sbs().cache_capacity(),
-                sub.sbs().replacement_cost(),
-                &ws.initially_cached,
-                &ws.rewards,
-            );
+            let res = solve_sbs_caching(&sub, mu, support, ws);
             let elapsed_us = started.map_or(0, |s| {
                 u64::try_from(s.elapsed().as_micros()).unwrap_or(u64::MAX)
             });
@@ -277,19 +340,49 @@ pub fn solve_caching_all_observed(
     let mut plan = CachePlan::empty(network, horizon);
     let mut objective = 0.0;
     for (i, (res, elapsed_us)) in results.into_iter().enumerate() {
-        let sol = res?;
+        let (cached, sbs_objective) = res?;
         if timed {
             metrics.span_us.observe(elapsed_us);
         }
-        let n = SbsId(i);
-        objective += sol.objective;
-        for (t, row) in sol.x.iter().enumerate() {
-            for (k, &cached) in row.iter().enumerate() {
-                plan.state_mut(t).set(n, ContentId(k), cached);
-            }
+        objective += sbs_objective;
+        for (t, k) in cached {
+            plan.state_mut(t).set(SbsId(i), ContentId(k), true);
         }
     }
     Ok((plan, objective))
+}
+
+/// Solves `P1` for one SBS over its kept items, returning the cached
+/// `(t, k)` pairs and the objective.
+fn solve_sbs_caching(
+    sub: &SbsSubproblem<'_>,
+    mu: &Tensor4,
+    support: Option<&[usize]>,
+    ws: &mut SlotWorkspace,
+) -> Result<(Vec<(usize, usize)>, f64), CoreError> {
+    if mu.horizon() == 0 {
+        return Err(CoreError::shape("caching horizon must be positive"));
+    }
+    let capacity = sub.sbs().cache_capacity();
+    if capacity == 0 || sub.problem().network().num_contents() == 0 {
+        return Ok((Vec::new(), 0.0));
+    }
+    sub.fill_caching_inputs(mu, support, ws);
+    let sol = solve_caching_flow(
+        capacity,
+        sub.sbs().replacement_cost(),
+        &ws.initially_cached,
+        &ws.rewards,
+    )?;
+    let mut cached = Vec::new();
+    for (t, row) in sol.x.iter().enumerate() {
+        for (&k, &c) in ws.kept.iter().zip(row) {
+            if c {
+                cached.push((t, k));
+            }
+        }
+    }
+    Ok((cached, sol.objective))
 }
 
 /// Evaluates the `P1` objective `h − Σ r·x` of an arbitrary caching
@@ -547,6 +640,90 @@ mod tests {
                 brute.objective
             );
         }
+    }
+
+    /// The flow network over the whole catalog: the oracle that pruning
+    /// must reproduce bit for bit.
+    fn full_catalog_oracle(
+        capacity: usize,
+        beta: f64,
+        initially_cached: &[bool],
+        rewards: &[Vec<f64>],
+    ) -> SbsCachingSolution {
+        if capacity == 0 || initially_cached.is_empty() {
+            return SbsCachingSolution {
+                x: vec![vec![false; initially_cached.len()]; rewards.len()],
+                objective: 0.0,
+            };
+        }
+        solve_caching_flow(capacity, beta, initially_cached, rewards).unwrap()
+    }
+
+    /// A random `P1` instance whose reward columns are all-zero, sparse
+    /// or dense, with some items initially cached whatever their reward.
+    /// `beta_kind` picks β: 0, 1e-13, just above the pruning margin,
+    /// small, or ordinary; some rewards are set to exactly β to force
+    /// ties with the pool arc.
+    fn sparse_instance(seed: u64, beta_kind: u8) -> (usize, f64, Vec<bool>, Vec<Vec<f64>>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let k = rng.gen_range(1..15);
+        let horizon = rng.gen_range(1..7);
+        let beta = match beta_kind {
+            0 => 0.0,
+            1 => 1e-13,
+            2 => PRUNE_MIN_BETA * 1.5,
+            3 => rng.gen_range(1e-6..1e-3),
+            _ => rng.gen_range(0.1..20.0),
+        };
+        // One instance in eight keeps nothing: no reward, empty cache.
+        let empty = rng.gen_bool(0.125);
+        let initially: Vec<bool> = (0..k).map(|_| !empty && rng.gen_bool(0.3)).collect();
+        let mut rewards = vec![vec![0.0; k]; horizon];
+        for col in 0..k {
+            let fill = if empty { 0.0 } else { rng.gen_range(0.0..1.0) };
+            for row in &mut rewards {
+                if rng.gen_bool(fill) {
+                    row[col] = if rng.gen_bool(0.2) {
+                        beta
+                    } else {
+                        rng.gen_range(0.0..10.0)
+                    };
+                }
+            }
+        }
+        // Capacity from 0 to beyond the catalog, so C ≥ kept is common.
+        let capacity = rng.gen_range(0..k + 3);
+        (capacity, beta, initially, rewards)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(400))]
+
+        /// Pruning unrewarded, uncached items leaves the plan and the
+        /// objective bits of the full-catalog network unchanged.
+        #[test]
+        fn pruned_flow_matches_full_catalog_bitwise(seed in 0u64..1_000_000, beta_kind in 0u8..5) {
+            let (capacity, beta, initially, rewards) = sparse_instance(seed, beta_kind);
+            let pruned = solve_caching_mcmf(capacity, beta, &initially, &rewards).unwrap();
+            let full = full_catalog_oracle(capacity, beta, &initially, &rewards);
+            proptest::prop_assert_eq!(&pruned.x, &full.x);
+            proptest::prop_assert_eq!(pruned.objective.to_bits(), full.objective.to_bits());
+        }
+    }
+
+    #[test]
+    fn pruning_keeps_cached_and_rewarded_items_only() {
+        // Item 0 cached with no reward, item 1 rewarded once, item 2
+        // neither: the network covers items 0 and 1, and item 2 stays
+        // out of the plan even with spare capacity.
+        let rewards = vec![vec![0.0, 0.0, 0.0], vec![0.0, 50.0, 0.0]];
+        let sol = solve_caching_mcmf(3, 5.0, &[true, false, false], &rewards).unwrap();
+        assert_eq!(
+            sol.x,
+            full_catalog_oracle(3, 5.0, &[true, false, false], &rewards).x
+        );
+        assert!(sol.x.iter().all(|row| !row[2]));
+        assert!(sol.x[1][1]);
     }
 
     #[test]

@@ -452,7 +452,8 @@ impl PrimalDualSolver {
             // --- Primal step: solve P1 and P2 under current μ. ----------
             let p1_trace = pd.tracer.start("p1");
             let p1_span = pd.p1_us.start_span();
-            let (x_plan, p1_obj) = solve_caching_all_observed(problem, &mu, par, &pd.p1)?;
+            let support = sparse.then_some(active.as_slice());
+            let (x_plan, p1_obj) = solve_caching_all_observed(problem, &mu, support, par, &pd.p1)?;
             pd.p1_us.record_span(p1_span);
             pd.tracer.finish(p1_trace);
             let p2_trace = pd.tracer.start("p2");

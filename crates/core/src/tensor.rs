@@ -188,6 +188,20 @@ impl Tensor4 {
         self.classes_per_sbs[n.0] * self.num_contents
     }
 
+    /// Offset of the `(m, k)` block of slot `t`, SBS `n` in
+    /// [`Tensor4::as_slice`]; the block spans
+    /// [`Tensor4::sbs_block_len`] entries from there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` or `n` is out of range.
+    #[inline]
+    #[must_use]
+    pub fn sbs_slot_offset(&self, t: usize, n: SbsId) -> usize {
+        assert!(t < self.horizon && n.0 < self.num_sbs());
+        (t * self.total_classes() + self.class_offsets[n.0]) * self.num_contents
+    }
+
     /// Zero-copy view of the `(m, k)` block of slot `t`, SBS `n` —
     /// the borrow-based counterpart of [`Tensor4::sbs_slot`], used on
     /// the solver hot paths.

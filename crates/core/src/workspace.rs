@@ -18,6 +18,7 @@
 //!   collected by SBS index and reduced in SBS order, so parallel and
 //!   sequential execution produce **bitwise identical** results.
 
+use crate::caching::PRUNE_MIN_BETA;
 use crate::cost::CostModel;
 use crate::fastslot::{solve_bs_only_slot_into, FastSlotScratch};
 use crate::plan::{CachePlan, CacheState};
@@ -224,11 +225,15 @@ pub struct SlotWorkspace {
     /// Warm-start fractions in the full `m·K + k` layout; consulted by
     /// [`SlotWorkspace::solve_filled_slot`] when `use_warm` is set.
     pub warm: Vec<f64>,
-    /// `P1` reward rows `r[t][k] = Σ_m μ^t_{n,m,k}`, filled by
-    /// [`SbsSubproblem::fill_rewards`].
+    /// The items `P1` keeps in its flow network, ascending: those
+    /// initially cached plus those with a nonzero multiplier at some slot
+    /// (the whole catalog when `β_n` is too small to prune). Filled by
+    /// [`SbsSubproblem::fill_caching_inputs`].
+    pub kept: Vec<usize>,
+    /// `P1` reward rows over the kept items: `rewards[t][j]` is
+    /// `r_{k,t} = Σ_m μ^t_{n,m,k}` for `k = kept[j]`.
     pub rewards: Vec<Vec<f64>>,
-    /// Initial cache indicator per content, filled by
-    /// [`SbsSubproblem::fill_initial_cache`].
+    /// Initial cache indicator over the kept items.
     pub initially_cached: Vec<bool>,
     /// Solve counters accumulated across [`Self::solve_filled_slot`]
     /// calls; drained by the observed fan-out drivers via
@@ -248,6 +253,14 @@ pub struct SlotWorkspace {
     fy: Vec<f64>,
     fastslot: FastSlotScratch,
     pgd: PgdScratch,
+    /// `kept_column[k]`: the position of `k` in `kept`, or `usize::MAX`.
+    /// All `usize::MAX` between calls.
+    kept_column: Vec<usize>,
+    /// Per-content reward accumulator for one slot; all zero between
+    /// slots.
+    reward_acc: Vec<f64>,
+    /// The slot rewards `(t, k, r_{k,t})` collected for `P1`.
+    reward_entries: Vec<(usize, usize, f64)>,
 }
 
 /// Tolerance/iteration budget used for the per-slot convex solves.
@@ -780,41 +793,127 @@ impl<'a> SbsSubproblem<'a> {
         ws.linear.resize(self.block_len(), 0.0);
     }
 
-    /// Fills the `P1` reward table `r[t][k] = Σ_m μ^t_{n,m,k}` over the
-    /// whole horizon.
-    pub fn fill_rewards(&self, mu: &Tensor4, ws: &mut SlotWorkspace) {
+    /// Fills the `P1` inputs `kept`, `rewards` and `initially_cached`
+    /// over the whole horizon.
+    ///
+    /// `support`, when given, holds ascending flat indices of `mu` outside
+    /// which every multiplier is zero (the primal-dual active set); `None`
+    /// reads every entry. The rewards `r_{k,t} = Σ_m μ^t_{n,m,k}` add the
+    /// multipliers in ascending `m`: a slot block the support covers
+    /// entirely is summed densely, as before, and any other block adds
+    /// only its nonzero entries, which leaves each sum bit-identical
+    /// because the skipped terms are exact zeros. The work scales with
+    /// the support rather than with `T·M·K`.
+    pub fn fill_caching_inputs(
+        &self,
+        mu: &Tensor4,
+        support: Option<&[usize]>,
+        ws: &mut SlotWorkspace,
+    ) {
         let horizon = mu.horizon();
         let k_total = self.num_contents;
-        let m_total = self.sbs.num_classes();
-        ws.rewards.resize(horizon, Vec::new());
-        for (t, row) in ws.rewards.iter_mut().enumerate() {
-            row.clear();
-            row.resize(k_total, 0.0);
+        let len = self.block_len();
+        // Nonzero rewards as `(t, k, r_{k,t})`, each summed in `acc`,
+        // which is all zero between slots.
+        let acc = &mut ws.reward_acc;
+        acc.resize(k_total, 0.0);
+        ws.reward_entries.clear();
+        for t in 0..horizon {
             let block = mu.sbs_slot_slice(t, self.n);
-            for m in 0..m_total {
-                for (k, r) in row.iter_mut().enumerate() {
-                    *r += block[m * k_total + k];
+            let start = mu.sbs_slot_offset(t, self.n);
+            let entries = support.map(|indices| {
+                let lo = indices.partition_point(|&i| i < start);
+                let hi = lo + indices[lo..].partition_point(|&i| i < start + len);
+                &indices[lo..hi]
+            });
+            match entries.filter(|e| e.len() < len) {
+                None => {
+                    for m_row in block.chunks_exact(k_total) {
+                        for (a, &v) in acc.iter_mut().zip(m_row) {
+                            *a += v;
+                        }
+                    }
+                    for (k, a) in acc.iter_mut().enumerate() {
+                        if *a != 0.0 {
+                            ws.reward_entries.push((t, k, *a));
+                            *a = 0.0;
+                        }
+                    }
+                }
+                Some(entries) => {
+                    let first = ws.reward_entries.len();
+                    let mut row = 0;
+                    for &i in entries {
+                        let j = i - start;
+                        while j >= row + k_total {
+                            row += k_total;
+                        }
+                        let (k, v) = (j - row, block[j]);
+                        if v != 0.0 {
+                            if acc[k] == 0.0 {
+                                ws.reward_entries.push((t, k, 0.0));
+                            }
+                            acc[k] += v;
+                        }
+                    }
+                    for entry in &mut ws.reward_entries[first..] {
+                        entry.2 = std::mem::take(&mut acc[entry.1]);
+                    }
                 }
             }
         }
-        ws.rewards.truncate(horizon);
-    }
 
-    /// Fills the initial-cache indicator from the problem's pre-horizon
-    /// state.
-    pub fn fill_initial_cache(&self, ws: &mut SlotWorkspace) {
+        let initial = self.problem.initial_cache();
+        let column = &mut ws.kept_column;
+        column.resize(k_total, usize::MAX);
+        ws.kept.clear();
+        if self.sbs.replacement_cost() > PRUNE_MIN_BETA {
+            for (k, seen) in column.iter_mut().enumerate() {
+                if initial.contains(self.n, ContentId(k)) {
+                    *seen = 0;
+                    ws.kept.push(k);
+                }
+            }
+            for &(_, k, r) in &ws.reward_entries {
+                if r != 0.0 && column[k] == usize::MAX {
+                    column[k] = 0;
+                    ws.kept.push(k);
+                }
+            }
+            ws.kept.sort_unstable();
+        } else {
+            ws.kept.extend(0..k_total);
+        }
+        for (j, &k) in ws.kept.iter().enumerate() {
+            column[k] = j;
+        }
+        ws.rewards.resize(horizon, Vec::new());
+        ws.rewards.truncate(horizon);
+        for row in &mut ws.rewards {
+            row.clear();
+            row.resize(ws.kept.len(), 0.0);
+        }
+        for &(t, k, r) in &ws.reward_entries {
+            if r != 0.0 {
+                ws.rewards[t][column[k]] = r;
+            }
+        }
         ws.initially_cached.clear();
         ws.initially_cached.extend(
-            (0..self.num_contents)
-                .map(|k| self.problem.initial_cache().contains(self.n, ContentId(k))),
+            ws.kept
+                .iter()
+                .map(|&k| initial.contains(self.n, ContentId(k))),
         );
+        for &k in &ws.kept {
+            column[k] = usize::MAX;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jocal_sim::topology::{MuClass, Network};
+    use jocal_sim::topology::{ClassId, MuClass, Network};
 
     #[test]
     fn workers_resolution() {
@@ -882,11 +981,25 @@ mod tests {
         assert_eq!(ws.omega_bs, vec![0.1, 0.2]);
         sub.fill_demand(0, &mut ws);
         assert_eq!(ws.lambda.len(), 6);
-        let mu = Tensor4::zeros(problem.network(), 2);
-        sub.fill_rewards(&mu, &mut ws);
-        assert_eq!(ws.rewards.len(), 2);
-        assert_eq!(ws.rewards[0], vec![0.0; 3]);
-        sub.fill_initial_cache(&mut ws);
-        assert_eq!(ws.initially_cached, vec![false; 3]);
+        // β = 1 prunes: with zero multipliers and an empty cache no item
+        // is kept.
+        let mut mu = Tensor4::zeros(problem.network(), 2);
+        sub.fill_caching_inputs(&mu, None, &mut ws);
+        assert!(ws.kept.is_empty());
+        assert_eq!(ws.rewards, vec![Vec::<f64>::new(); 2]);
+        assert!(ws.initially_cached.is_empty());
+        // μ at (t=1, m=1, k=2) and (t=0, m=0, k=2) keeps item 2 only,
+        // with rewards summed per slot; a support without the t=0 entry
+        // reads it as zero.
+        mu.set(1, SbsId(0), ClassId(1), ContentId(2), 0.5);
+        mu.set(0, SbsId(0), ClassId(0), ContentId(2), 0.25);
+        sub.fill_caching_inputs(&mu, None, &mut ws);
+        assert_eq!(ws.kept, vec![2]);
+        assert_eq!(ws.rewards, vec![vec![0.25], vec![0.5]]);
+        assert_eq!(ws.initially_cached, vec![false]);
+        let offset = mu.sbs_slot_offset(1, SbsId(0));
+        sub.fill_caching_inputs(&mu, Some(&[offset + 3 + 2]), &mut ws);
+        assert_eq!(ws.kept, vec![2]);
+        assert_eq!(ws.rewards, vec![vec![0.0], vec![0.5]]);
     }
 }

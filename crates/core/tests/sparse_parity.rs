@@ -9,14 +9,19 @@
 //! `ProblemInstance::with_dense_oracle`.
 
 use jocal_core::accounting::evaluate_per_slot;
+use jocal_core::caching::{solve_caching_all, solve_caching_all_observed};
 use jocal_core::ledger::{ledger_slot, ledger_slot_sparse};
 use jocal_core::loadbalance::solve_load_all;
 use jocal_core::primal_dual::{PrimalDualOptions, PrimalDualSolver};
 use jocal_core::problem::ProblemInstance;
+use jocal_core::tensor::Tensor4;
+use jocal_core::{CacheState, Parallelism, SubSolveMetrics};
 use jocal_sim::demand::DemandTrace;
 use jocal_sim::scenario::ScenarioConfig;
 use jocal_sim::topology::{ClassId, ContentId, Network, SbsId};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn options() -> PrimalDualOptions {
     PrimalDualOptions {
@@ -127,6 +132,89 @@ proptest! {
         let density = (density_pct as f64 / 100.0).min(1.0);
         let (network, demand) = masked_scenario(k, horizon, density, seed);
         assert_bit_parity(&network, &demand);
+    }
+}
+
+/// Multipliers supported on the λ-support plus a few stray entries (as a
+/// warm start carries), some of them exactly zero, with the ascending
+/// flat support that covers them.
+fn supported_mu(problem: &ProblemInstance, rng: &mut StdRng) -> (Tensor4, Vec<usize>) {
+    let network = problem.network();
+    let mut mu = Tensor4::zeros(network, problem.horizon());
+    let mut support = Vec::new();
+    for t in 0..problem.horizon() {
+        for (n, _) in network.iter_sbs() {
+            let offset = mu.sbs_slot_offset(t, n);
+            for e in problem.nonzeros().slot(t, n) {
+                support.push(offset + e.idx as usize);
+            }
+        }
+    }
+    for _ in 0..rng.gen_range(0..4) {
+        support.push(rng.gen_range(0..mu.len()));
+    }
+    support.sort_unstable();
+    support.dedup();
+    let data = mu.as_mut_slice();
+    for &i in &support {
+        if rng.gen_bool(0.8) {
+            data[i] = rng.gen_range(0.0..30.0);
+        }
+    }
+    (mu, support)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// P1 alone: the support-driven solve on a sparse instance, and the
+    /// support-free one, match the dense oracle bitwise, for β = 0, a
+    /// β below the pruning margin and an ordinary β, with and without
+    /// an initial cache.
+    #[test]
+    fn p1_support_bit_parity(
+        k in 3usize..40,
+        horizon in 1usize..5,
+        density_pct in 2usize..60,
+        num_sbs in 1usize..3,
+        beta_kind in 0u8..3,
+        seed in 0u64..500,
+    ) {
+        let beta = [0.0, 1e-13, 10.0][beta_kind as usize];
+        let cfg = ScenarioConfig { num_sbs, ..ScenarioConfig::tiny() }
+            .with_num_contents(k)
+            .with_horizon(horizon)
+            .with_beta(beta)
+            .with_nonzero_fraction(density_pct as f64 / 100.0);
+        let s = cfg.build(seed).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut initial = CacheState::empty(&s.network);
+        for (n, sbs) in s.network.iter_sbs() {
+            for _ in 0..sbs.cache_capacity() {
+                initial.set(n, ContentId(rng.gen_range(0..k)), true);
+            }
+        }
+        let sparse = ProblemInstance::fresh(s.network, s.demand)
+            .unwrap()
+            .with_initial_cache(initial)
+            .unwrap();
+        let dense = sparse.clone().with_dense_oracle();
+        let (mu, support) = supported_mu(&sparse, &mut rng);
+
+        let (dp, dobj) = solve_caching_all(&dense, &mu).unwrap();
+        let (sp, sobj) = solve_caching_all_observed(
+            &sparse,
+            &mu,
+            Some(&support),
+            Parallelism::Sequential,
+            &SubSolveMetrics::disabled(),
+        )
+        .unwrap();
+        prop_assert_eq!(&sp, &dp);
+        prop_assert_eq!(sobj.to_bits(), dobj.to_bits());
+        let (fp, fobj) = solve_caching_all(&sparse, &mu).unwrap();
+        prop_assert_eq!(&fp, &dp);
+        prop_assert_eq!(fobj.to_bits(), dobj.to_bits());
     }
 }
 

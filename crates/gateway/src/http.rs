@@ -80,25 +80,33 @@ pub(crate) enum ReadOutcome {
 /// Reads one request from `reader`, answering `Expect: 100-continue`
 /// probes on `write` before consuming the body.
 ///
+/// The head is read line by line, never past what is left of
+/// `max_head_bytes`, so a peer that sends no newline cannot grow the
+/// buffer beyond that limit. A head that is not UTF-8 is malformed.
+///
 /// # Errors
 ///
 /// Transport-level failures mid-request (timeouts tripping the read
 /// deadline, resets): the caller closes the connection.
-pub(crate) fn read_request(
-    reader: &mut BufReader<TcpStream>,
-    write: &mut TcpStream,
+pub(crate) fn read_request<R: BufRead, W: Write>(
+    reader: &mut R,
+    write: &mut W,
     limits: HttpLimits,
 ) -> io::Result<ReadOutcome> {
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
+    let mut raw = Vec::new();
+    match read_head_line(reader, limits.max_head_bytes, &mut raw) {
         Ok(0) => return Ok(ReadOutcome::Closed),
         Ok(_) => {}
         // A keep-alive connection idling past the read deadline is a
         // clean end of conversation, not a transport failure.
-        Err(e) if line.is_empty() && is_timeout(&e) => return Ok(ReadOutcome::Closed),
+        Err(e) if raw.is_empty() && is_timeout(&e) => return Ok(ReadOutcome::Closed),
         Err(e) => return Err(e),
     }
-    let mut head_bytes = line.len();
+    let mut head_bytes = raw.len();
+    let line = match head_text(&raw, limits.max_head_bytes) {
+        Ok(line) => line,
+        Err(reason) => return Ok(ReadOutcome::Malformed(reason.to_string())),
+    };
     let mut parts = line.split_whitespace();
     let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) => (m.to_string(), t.to_string(), v.to_string()),
@@ -116,14 +124,15 @@ pub(crate) fn read_request(
     let mut expect_continue = false;
     let mut request_id: Option<String> = None;
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        let budget = limits.max_head_bytes.saturating_sub(head_bytes);
+        if read_head_line(reader, budget, &mut raw)? == 0 {
             return Ok(ReadOutcome::Malformed("truncated headers".to_string()));
         }
-        head_bytes += line.len();
-        if head_bytes > limits.max_head_bytes {
-            return Ok(ReadOutcome::Malformed("headers too large".to_string()));
-        }
+        head_bytes += raw.len();
+        let line = match head_text(&raw, budget) {
+            Ok(line) => line,
+            Err(reason) => return Ok(ReadOutcome::Malformed(reason.to_string())),
+        };
         let header = line.trim_end();
         if header.is_empty() {
             break;
@@ -190,6 +199,31 @@ pub(crate) fn read_request(
         keep_alive,
         request_id,
     }))
+}
+
+/// Reads one head line into `raw` (cleared first), up to and including
+/// its `\n` but never more than `budget + 1` bytes: one byte past the
+/// budget is enough to tell that the line is too long. Returns the bytes
+/// read, 0 at end of stream.
+fn read_head_line<R: BufRead>(
+    reader: &mut R,
+    budget: usize,
+    raw: &mut Vec<u8>,
+) -> io::Result<usize> {
+    raw.clear();
+    reader
+        .by_ref()
+        .take(budget as u64 + 1)
+        .read_until(b'\n', raw)
+}
+
+/// The text of a head line read by [`read_head_line`], or why it is
+/// malformed: longer than `budget`, or not UTF-8.
+fn head_text(raw: &[u8], budget: usize) -> Result<&str, &'static str> {
+    if raw.len() > budget {
+        return Err("headers too large");
+    }
+    std::str::from_utf8(raw).map_err(|_| "request head is not UTF-8")
 }
 
 fn is_timeout(e: &io::Error) -> bool {
@@ -413,5 +447,212 @@ impl HttpClient {
             body,
             keep_alive,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Cursor;
+
+    const LIMITS: HttpLimits = HttpLimits {
+        max_body_bytes: 64,
+        max_head_bytes: 256,
+    };
+
+    /// Parses `bytes` as one request, returning the outcome and what the
+    /// parser wrote back to the peer.
+    fn parse(bytes: &[u8]) -> (ReadOutcome, Vec<u8>) {
+        let mut reader = Cursor::new(bytes.to_vec());
+        let mut written = Vec::new();
+        let outcome = read_request(&mut reader, &mut written, LIMITS).expect("no transport error");
+        (outcome, written)
+    }
+
+    fn request(bytes: &[u8]) -> Request {
+        match parse(bytes).0 {
+            ReadOutcome::Request(req) => req,
+            other => panic!("expected a request, got {other:?}"),
+        }
+    }
+
+    fn malformed(bytes: &[u8]) -> String {
+        match parse(bytes).0 {
+            ReadOutcome::Malformed(reason) => reason,
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn parses_a_request_with_query_and_body() {
+        let req = request(b"POST /v1/demand?cell=1 HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc");
+        assert_eq!(req.method, "POST");
+        assert_eq!(req.path, "/v1/demand");
+        assert_eq!(req.query_param("cell"), Some("1"));
+        assert_eq!(req.body, b"abc");
+        assert!(req.keep_alive);
+        assert_eq!(req.request_id, None);
+    }
+
+    #[test]
+    fn empty_stream_is_a_clean_close() {
+        assert!(matches!(parse(b"").0, ReadOutcome::Closed));
+    }
+
+    #[test]
+    fn idle_timeout_before_any_byte_is_a_clean_close() {
+        struct Idle;
+        impl Read for Idle {
+            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+                Err(io::ErrorKind::WouldBlock.into())
+            }
+        }
+        let mut reader = BufReader::new(Idle);
+        let outcome = read_request(&mut reader, &mut Vec::new(), LIMITS).unwrap();
+        assert!(matches!(outcome, ReadOutcome::Closed));
+    }
+
+    #[test]
+    fn endless_line_without_newline_is_rejected_within_the_head_limit() {
+        // An endless stream with no `\n`, on the request line and on a
+        // header line: the parser must stop after the head budget, not
+        // buffer until the read deadline.
+        let mut reader = BufReader::new(io::repeat(b'a'));
+        let outcome = read_request(&mut reader, &mut Vec::new(), LIMITS).unwrap();
+        assert!(matches!(outcome, ReadOutcome::Malformed(ref r) if r == "headers too large"));
+
+        let head = Cursor::new(b"GET / HTTP/1.1\r\nx-long: ".to_vec());
+        let mut reader = BufReader::new(head.chain(io::repeat(b'b')));
+        let outcome = read_request(&mut reader, &mut Vec::new(), LIMITS).unwrap();
+        assert!(matches!(outcome, ReadOutcome::Malformed(ref r) if r == "headers too large"));
+    }
+
+    #[test]
+    fn head_just_within_the_limit_is_accepted() {
+        let mut bytes = b"GET / HTTP/1.1\r\nx-pad: ".to_vec();
+        let pad = LIMITS.max_head_bytes - bytes.len() - 4;
+        bytes.extend(std::iter::repeat_n(b'p', pad));
+        bytes.extend_from_slice(b"\r\n\r\n");
+        assert_eq!(bytes.len(), LIMITS.max_head_bytes);
+        request(&bytes);
+        bytes.insert(20, b'p');
+        assert_eq!(malformed(&bytes), "headers too large");
+    }
+
+    #[test]
+    fn non_utf8_head_is_malformed_not_a_transport_error() {
+        assert_eq!(
+            malformed(b"GET /\xff\xfe HTTP/1.1\r\n\r\n"),
+            "request head is not UTF-8"
+        );
+        assert_eq!(
+            malformed(b"GET / HTTP/1.1\r\nx-name: \xc3\x28\r\n\r\n"),
+            "request head is not UTF-8"
+        );
+    }
+
+    #[test]
+    fn bad_content_length_is_malformed() {
+        for value in ["abc", "-1", "1.5", "", "99999999999999999999999"] {
+            let bytes = format!("POST / HTTP/1.1\r\nContent-Length: {value}\r\n\r\n");
+            assert_eq!(
+                malformed(bytes.as_bytes()),
+                "bad content-length",
+                "{value:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_body_is_too_large_and_not_read() {
+        let (outcome, written) = parse(b"POST / HTTP/1.1\r\nContent-Length: 65\r\n\r\n");
+        assert!(matches!(outcome, ReadOutcome::TooLarge));
+        assert!(written.is_empty());
+    }
+
+    #[test]
+    fn chunked_encoding_is_refused() {
+        let bytes = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n";
+        assert_eq!(malformed(bytes), "chunked transfer encoding unsupported");
+    }
+
+    #[test]
+    fn truncated_head_and_body() {
+        assert_eq!(
+            malformed(b"GET / HTTP/1.1\r\nHost: x\r\n"),
+            "truncated headers"
+        );
+        assert_eq!(malformed(b"GET / HTTP/1.1"), "truncated headers");
+        assert_eq!(malformed(b"GET /\r\n\r\n"), "bad request line");
+        assert_eq!(
+            malformed(b"GET / SPDY/3\r\n\r\n"),
+            "unsupported version SPDY/3"
+        );
+        assert!(malformed(b"GET / HTTP/1.1\r\nno colon\r\n\r\n").starts_with("bad header"));
+        // A body shorter than its Content-Length is a transport error.
+        let mut reader = Cursor::new(b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nab".to_vec());
+        let err = read_request(&mut reader, &mut Vec::new(), LIMITS).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn request_id_is_trimmed_and_truncated_at_a_char_boundary() {
+        let req = request(b"GET / HTTP/1.1\r\nX-Request-Id:   abc-1  \r\n\r\n");
+        assert_eq!(req.request_id.as_deref(), Some("abc-1"));
+        let req = request(b"GET / HTTP/1.1\r\nx-request-id: \r\n\r\n");
+        assert_eq!(req.request_id, None);
+
+        // 'a' then two-byte chars: byte 128 falls inside a char, so the
+        // cut moves back to 127.
+        let id = format!("a{}", "é".repeat(80));
+        let bytes = format!("GET / HTTP/1.1\r\nx-request-id: {id}\r\n\r\n");
+        let req = request(bytes.as_bytes());
+        let got = req.request_id.unwrap();
+        assert_eq!(got.len(), MAX_REQUEST_ID_BYTES - 1);
+        assert!(id.starts_with(&got));
+        // An ASCII id is cut at exactly the limit.
+        let id = "r".repeat(200);
+        let bytes = format!("GET / HTTP/1.1\r\nx-request-id: {id}\r\n\r\n");
+        assert_eq!(
+            request(bytes.as_bytes()).request_id.unwrap().len(),
+            MAX_REQUEST_ID_BYTES
+        );
+    }
+
+    #[test]
+    fn expect_continue_is_answered_before_the_body() {
+        let (outcome, written) =
+            parse(b"POST / HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\nhi");
+        assert!(matches!(outcome, ReadOutcome::Request(ref r) if r.body == b"hi"));
+        assert_eq!(written, b"HTTP/1.1 100 Continue\r\n\r\n");
+        // No body, no interim response.
+        let (_, written) = parse(b"POST / HTTP/1.1\r\nExpect: 100-continue\r\n\r\n");
+        assert!(written.is_empty());
+    }
+
+    #[test]
+    fn keep_alive_defaults_follow_the_http_version() {
+        assert!(!request(b"GET / HTTP/1.0\r\n\r\n").keep_alive);
+        assert!(request(b"GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n").keep_alive);
+        assert!(request(b"GET / HTTP/1.1\r\n\r\n").keep_alive);
+        assert!(!request(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n").keep_alive);
+    }
+
+    #[test]
+    fn keep_alive_requests_parse_back_to_back() {
+        let mut reader = Cursor::new(
+            b"GET /a HTTP/1.1\r\n\r\nPOST /b HTTP/1.1\r\nContent-Length: 1\r\n\r\nx".to_vec(),
+        );
+        let mut written = Vec::new();
+        for path in ["/a", "/b"] {
+            match read_request(&mut reader, &mut written, LIMITS).unwrap() {
+                ReadOutcome::Request(req) => assert_eq!(req.path, path),
+                other => panic!("expected {path}, got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            read_request(&mut reader, &mut written, LIMITS).unwrap(),
+            ReadOutcome::Closed
+        ));
     }
 }

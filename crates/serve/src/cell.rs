@@ -280,13 +280,11 @@ impl CellCore {
 
         // --- Repair against the realized slot ------------------------
         let truth = self.window.front().expect("checked non-empty above");
-        for (n, sbs) in self.network.iter_sbs() {
-            for m in 0..sbs.num_classes() {
-                for k in 0..self.network.num_contents() {
-                    let y = action.load.y(0, n, ClassId(m), ContentId(k));
-                    self.slot_load.set_y(0, n, ClassId(m), ContentId(k), y);
-                }
-            }
+        for (n, _) in self.network.iter_sbs() {
+            self.slot_load
+                .tensor_mut()
+                .sbs_slot_slice_mut(0, n)
+                .copy_from_slice(action.load.tensor().sbs_slot_slice(0, n));
         }
         let repair_trace = self.obs.tracer.start("repair");
         let repair = repair_slot(
